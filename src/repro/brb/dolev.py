@@ -152,14 +152,6 @@ class DolevDisseminator:
             state.neighbors_delivered.add(sender)
 
         direct = not wire_path and sender == origin
-        if direct:
-            intermediaries: Tuple[int, ...] = ()
-        else:
-            members = set(wire_path)
-            members.add(sender)
-            members.discard(origin)
-            members.discard(self.process_id)
-            intermediaries = tuple(sorted(members))
 
         # MD.4: ignore paths that contain a neighbor that already delivered.
         if (
@@ -182,6 +174,17 @@ class DolevDisseminator:
         ):
             return [], []
 
+        # The intermediaries as a node bit-set, encoded only now that the
+        # path ids are known to be sane.  The origin may be forged (or
+        # unknown), so its bit is cleared only when it can be set at all.
+        intermediaries = 0
+        if not direct:
+            intermediaries = 1 << sender
+            for node in wire_path:
+                intermediaries |= 1 << node
+            if isinstance(origin, int) and 0 <= origin < intermediaries.bit_length():
+                intermediaries &= ~(1 << origin)
+            intermediaries &= ~(1 << self.process_id)
         result = state.verifier.add_path(intermediaries)
 
         newly_delivered = False

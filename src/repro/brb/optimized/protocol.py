@@ -456,19 +456,14 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
     ) -> None:
         """Path accounting, Dolev relay and Bracha transitions of a content."""
         mods = self.mods
-        if not wire_path:
-            # Empty wire path: the only candidate intermediary is the
-            # sender itself (a process never sends to itself, so the
-            # ``process_id`` discard cannot apply).
-            direct = sender == creator
-            intermediaries: Tuple[int, ...] = () if direct else (sender,)
-        else:
-            direct = False
-            members = set(wire_path)
-            members.add(sender)
-            members.discard(creator)
-            members.discard(self.process_id)
-            intermediaries = tuple(sorted(members))
+        # The intermediaries as a node bit-set: the wire path and the
+        # sender, less the creator and this process (ids were checked
+        # against the process set on reception).
+        direct = not wire_path and sender == creator
+        intermediaries = 0 if direct else 1 << sender
+        for node in wire_path:
+            intermediaries |= 1 << node
+        intermediaries &= ~((1 << creator) | (1 << self.process_id))
 
         result = content.verifier.add_path(intermediaries)
         newly_delivered = False
@@ -520,7 +515,7 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
         self,
         record: PayloadRecord,
         creator: int,
-        intermediaries: Tuple[int, ...],
+        intermediaries: int,
         direct: bool,
     ) -> bool:
         """MBD.2: feed an extracted SEND path and report new delivery."""
@@ -533,7 +528,7 @@ class CrossLayerBrachaDolev(BroadcastProtocol):
             extracted = intermediaries
             extracted_direct = direct
         else:
-            extracted = tuple(sorted(set(intermediaries) | {creator}))
+            extracted = intermediaries | 1 << creator
             extracted_direct = False
         result = send_record.verifier.add_path(extracted)
         newly = result.newly_satisfied or (

@@ -6,6 +6,12 @@ incrementally as paths arrive is the computational bottleneck of the
 protocol; :class:`DisjointPathVerifier` implements the dynamic-programming
 combination scheme the paper describes in Sec. 6.6, and
 :class:`PathStore` implements the subpath filtering of MBD.10.
+Paths are node bit-sets end to end: ``DisjointPathVerifier.add_path``
+takes the intermediaries as an ``int`` with bit ``i`` set for process
+``i`` (the form the protocols build from the wire path) or as an
+iterable of ids, and its frontier of combinations is a list per count
+that is only appended to, so the combination cap keeps a deterministic
+arrival-ordered prefix of the fewest-node unions.
 The :mod:`repro.paths.oracle` module provides an exhaustive reference
 implementation used by the property-based tests.
 """

@@ -18,7 +18,14 @@ Paths are given to the verifier as their set of *intermediary* processes:
 the processes that relayed the content, excluding the content's creator
 and the receiving process.  An empty set therefore means the content was
 received directly from its creator over the authenticated link; such a
-path is disjoint from every other path.
+path is disjoint from every other path.  The set is passed either as a
+node bit-set (an ``int`` with bit ``i`` set for process ``i``, the form
+the protocols build) or as an iterable of process ids.
+
+The frontier of combinations is a list indexed by ``count - 1`` whose
+per-count lists are append-only between truncations: a union is only
+ever appended, so list order is arrival order, and the cap keeps the
+first unions of the fewest nodes (a stable popcount sort, then a cut).
 
 The verifier is *incremental* and *monotonic*: once ``satisfied`` becomes
 true it stays true, and adding paths never lowers the best count.
@@ -27,7 +34,7 @@ true it stays true, and adding paths never lowers the best count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Iterable, List, Union
 
 from repro.paths.pathset import PathStore, path_to_bits
 
@@ -72,6 +79,17 @@ class DisjointPathVerifier:
         exhaustive search would, but it never reports a false positive.
     """
 
+    __slots__ = (
+        "required",
+        "max_combinations",
+        "_store",
+        "_has_direct",
+        "_frontier",
+        "_best_indirect",
+        "_satisfied",
+        "combination_operations",
+    )
+
     def __init__(self, required: int, *, max_combinations: int = 4096) -> None:
         if required < 1:
             raise ValueError("at least one disjoint path must be required")
@@ -79,9 +97,9 @@ class DisjointPathVerifier:
         self.max_combinations = max_combinations
         self._store = PathStore()
         self._has_direct = False
-        # _frontier[c] = list of node-union bit-sets achievable with c
+        # _frontier[c - 1] = list of node-union bit-sets achievable with c
         # pairwise-disjoint received (non-empty) paths.
-        self._frontier: Dict[int, List[int]] = {}
+        self._frontier: List[List[int]] = []
         self._best_indirect = 0
         self._satisfied = False
         #: Number of combination operations performed (CPU proxy metric).
@@ -113,7 +131,7 @@ class DisjointPathVerifier:
     @property
     def stored_combination_count(self) -> int:
         """Number of disjoint-path combinations currently memoized."""
-        return sum(len(unions) for unions in self._frontier.values())
+        return sum(map(len, self._frontier))
 
     def state_size_estimate(self) -> int:
         """Rough memory footprint proxy: stored paths plus combinations."""
@@ -122,16 +140,17 @@ class DisjointPathVerifier:
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
-    def add_path(self, intermediaries: Iterable[int]) -> PathAddResult:
+    def add_path(self, path: Union[int, Iterable[int]]) -> PathAddResult:
         """Record a received path given by its set of intermediary processes.
 
-        Returns a :class:`PathAddResult` describing whether the path was
-        stored (i.e. was not redundant) and whether it made the
-        requirement satisfied for the first time.
+        ``path`` is a node bit-set or an iterable of process ids.  Returns
+        a :class:`PathAddResult` describing whether the path was stored
+        (i.e. was not redundant) and whether it made the requirement
+        satisfied for the first time.
         """
         if self._satisfied:
             return _REDUNDANT
-        bits = path_to_bits(intermediaries)
+        bits = path if type(path) is int else path_to_bits(path)
         if bits == 0:
             if self._has_direct:
                 return _REDUNDANT
@@ -140,21 +159,29 @@ class DisjointPathVerifier:
         if not self._store.add_bits(bits):
             return _REDUNDANT
 
-        new_entries: Dict[int, List[int]] = {1: [bits]}
-        for count in sorted(self._frontier, reverse=True):
-            for union in self._frontier[count]:
-                self.combination_operations += 1
-                if union & bits == 0:
-                    new_entries.setdefault(count + 1, []).append(union | bits)
+        # Every candidate comes from the frontier as it was before this
+        # path: new_entries[i] holds the unions of i + 1 disjoint paths.
+        frontier = self._frontier
+        new_entries = [[bits]]
+        for unions in frontier:
+            self.combination_operations += len(unions)
+            new_entries.append([union | bits for union in unions if not union & bits])
+        if new_entries[-1]:
+            frontier.append([])
 
-        for count, unions in sorted(new_entries.items()):
-            existing = self._frontier.setdefault(count, [])
+        cap = self.max_combinations
+        for count, (existing, unions) in enumerate(zip(frontier, new_entries), 1):
+            if not unions:
+                continue
             for union in unions:
-                if not _is_dominated(union, existing):
+                for other in existing:
+                    if other & union == other:
+                        break
+                else:
                     existing.append(union)
-            if len(existing) > self.max_combinations:
-                existing.sort(key=_popcount)
-                del existing[self.max_combinations :]
+            if len(existing) > cap:
+                existing.sort(key=int.bit_count)
+                del existing[cap:]
             if count > self._best_indirect:
                 self._best_indirect = count
         return _STORED_SATISFIED if self._check_satisfied() else _STORED
@@ -170,15 +197,6 @@ class DisjointPathVerifier:
         """Drop stored paths and combinations (MD.2, after delivery)."""
         self._store.clear()
         self._frontier.clear()
-
-
-def _popcount(bits: int) -> int:
-    return bits.bit_count()
-
-
-def _is_dominated(union: int, existing: List[int]) -> bool:
-    """True when an existing union of the same cardinality uses ⊆ nodes."""
-    return any(other & union == other for other in existing)
 
 
 __all__ = ["DisjointPathVerifier", "PathAddResult"]

@@ -39,9 +39,10 @@ def bits_to_nodes(bits: int) -> Tuple[int, ...]:
 class PathStore:
     """Set of received paths (as node bit-sets) with dominance filtering."""
 
+    __slots__ = ("_paths", "offered", "rejected_superpaths")
+
     def __init__(self) -> None:
         self._paths: List[int] = []
-        self._seen_exact: set = set()
         #: Number of paths offered to the store, including rejected ones.
         self.offered = 0
         #: Number of paths rejected because a sub-path was already stored.
@@ -51,7 +52,7 @@ class PathStore:
         return len(self._paths)
 
     def __contains__(self, path: Iterable[int]) -> bool:
-        return path_to_bits(path) in self._seen_exact
+        return path_to_bits(path) in self._paths
 
     @property
     def paths(self) -> Tuple[int, ...]:
@@ -79,18 +80,17 @@ class PathStore:
         reception.
         """
         self.offered += 1
-        if bits in self._seen_exact:
-            self.rejected_superpaths += 1
-            return False
+        evicts = False
         for stored in self._paths:
-            if stored & bits == stored:  # stored ⊆ new: new path is redundant
+            common = stored & bits
+            if common == stored:  # stored ⊆ new: new path is redundant
                 self.rejected_superpaths += 1
                 return False
-        # Evict stored paths dominated by the new, smaller path.
-        self._paths = [stored for stored in self._paths if stored & bits != bits]
+            if common == bits:  # new ⊂ stored: stored path is evicted
+                evicts = True
+        if evicts:
+            self._paths = [stored for stored in self._paths if stored & bits != bits]
         self._paths.append(bits)
-        self._seen_exact = {p for p in self._seen_exact if p & bits != bits}
-        self._seen_exact.add(bits)
         return True
 
     def is_dominated(self, path: Iterable[int]) -> bool:
@@ -101,7 +101,6 @@ class PathStore:
     def clear(self) -> None:
         """Discard every stored path (used by MD.2 after delivery)."""
         self._paths.clear()
-        self._seen_exact.clear()
 
 
 __all__ = ["PathStore", "path_to_bits", "bits_to_nodes"]

@@ -18,6 +18,7 @@ from repro.brb.optimized import CrossLayerBrachaDolev
 from repro.metrics.collector import RunMetrics
 from repro.network.simulation.delays import DelayModel, FixedDelay
 from repro.network.simulation.network import SimulatedNetwork
+from repro.paths.disjoint import DisjointPathVerifier
 from repro.topology.generators import Topology
 
 
@@ -80,3 +81,17 @@ def small_system() -> SystemConfig:
 def medium_system() -> SystemConfig:
     """A 10-process system tolerating two Byzantine faults."""
     return SystemConfig.for_system(10, 2)
+
+
+@pytest.fixture
+def recorded_paths(monkeypatch) -> list:
+    """Every path handed to any ``DisjointPathVerifier.add_path``, in order."""
+    recorded = []
+    original = DisjointPathVerifier.add_path
+
+    def add_path(self, path):
+        recorded.append(path)
+        return original(self, path)
+
+    monkeypatch.setattr(DisjointPathVerifier, "add_path", add_path)
+    return recorded

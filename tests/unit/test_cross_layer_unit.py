@@ -264,6 +264,17 @@ class TestRobustness:
         message = echo_from(4, path=(77,))
         assert sends(protocol.on_message(1, message)) == ()
 
+    def test_path_ids_outside_the_system_never_reach_the_verifier(
+        self, recorded_paths
+    ):
+        protocol = make_protocol(pid=2, n=7, f=1, neighbors=(0, 1, 3))
+        for path in ((7,), (1, 7), (2 ** 40,), (-1,)):
+            assert protocol.on_message(1, echo_from(4, path=path)) == []
+            assert protocol.on_message(1, ready_from(4, path=path)) == []
+        assert recorded_paths == []
+        protocol.on_message(1, echo_from(4, path=(5,)))
+        assert recorded_paths == [0b100010]
+
     def test_duplicate_broadcast_is_idempotent(self):
         protocol = make_protocol()
         first = protocol.broadcast(b"m", bid=1)

@@ -145,6 +145,41 @@ class TestOptimizedDisseminator:
         assert d.neighbors_that_delivered(content(payload=b"other")) == frozenset()
 
 
+class TestForgedIdentifiers:
+    """Path bit-sets are built only from identifiers that are safe to shift."""
+
+    def test_forged_creator_is_handled_as_an_unknown_origin(self, recorded_paths):
+        for creator in (-3, 2 ** 40):
+            recorded_paths.clear()
+            d = DolevDisseminator(5, [1, 2, 3, 4], required_paths=2)
+            c = content(creator=creator, mtype=MessageType.ECHO)
+            outcomes = [
+                d.on_message(sender, DolevMessage(content=c, path=path))
+                for sender, path in ((2, (1,)), (3, ()), (4, (6,)), (1, (2,)))
+            ]
+            relays = [
+                sorted((s.dest, s.message.path) for s in out) for out, _ in outcomes
+            ]
+            assert relays == [
+                [(3, (1, 2)), (4, (1, 2))],
+                [(1, (3,)), (2, (3,)), (4, (3,))],
+                [(1, (6, 4)), (2, (6, 4)), (3, (6, 4))],
+                [(3, (2, 1)), (4, (2, 1))],
+            ]
+            assert [delivered for _, delivered in outcomes] == [[], [c], [], []]
+            # The forged origin never reaches a shift: the verifier saw
+            # only the honest intermediaries, as small bit-sets.
+            assert recorded_paths == [0b110, 0b1000, 0b1010000, 0b110]
+            assert d.state_size_estimate() == 6
+
+    def test_absurd_path_ids_are_dropped_before_encoding(self, recorded_paths):
+        d = DolevDisseminator(5, [1, 2, 3], required_paths=2)
+        c = content(source=0)
+        for path in ((-1,), (2 ** 20,), (1, -1), (2 ** 20, 1)):
+            assert d.on_message(2, DolevMessage(content=c, path=path)) == ([], [])
+        assert recorded_paths == []
+
+
 class TestDolevBroadcastProtocol:
     def test_broadcast_delivers_locally(self):
         config = SystemConfig.for_system(5, 1)
