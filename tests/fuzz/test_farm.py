@@ -24,6 +24,39 @@ from repro.fuzz.sample import stream_fuzz_specs
 #: first sampler round already does).
 BUDGET = 8
 
+#: Simulation results shared by every test in this module, keyed by spec.
+_SIMULATED = {}
+
+
+@pytest.fixture(autouse=True)
+def simulate_each_spec_once(monkeypatch):
+    """Run each simulation-backend spec through the engine once per module.
+
+    Every farm here streams from seed 0, whose first cell alone sends
+    about 1.6 M messages; re-simulating it in each test made this module
+    take about 15 minutes.  The simulation backend is deterministic (two
+    runs of one spec compare equal), so the memo hands back exactly what
+    a re-run would return.  It sits below the farm's own
+    :class:`~repro.runner.cache.ResultCache`, so cache hits, cell counts,
+    find/shrink and corpus contents are unchanged.  Other backends still
+    run every time.
+    """
+    from repro.fuzz import corpus, farm, shrink
+    from repro.runner import parallel
+
+    real_run = parallel.run_scenario
+
+    def run_scenario(spec):
+        if spec.backend != "simulation":
+            return real_run(spec)
+        result = _SIMULATED.get(spec)
+        if result is None:
+            result = _SIMULATED[spec] = real_run(spec)
+        return result
+
+    for module in (parallel, farm, shrink, corpus):
+        monkeypatch.setattr(module, "run_scenario", run_scenario)
+
 
 def forge_delivery_when_lossy(result):
     """The forged-delivery craft from the oracle unit tests, keyed on a
