@@ -8,6 +8,7 @@ budget, *shrink* it to strictly fewer fault events on a topology no
 larger, and do both *identically* across two same-seed runs.
 """
 
+import contextlib
 import dataclasses
 import json
 
@@ -24,13 +25,9 @@ from repro.fuzz.sample import stream_fuzz_specs
 #: first sampler round already does).
 BUDGET = 8
 
-#: Simulation results shared by every test in this module, keyed by spec.
-_SIMULATED = {}
 
-
-@pytest.fixture(autouse=True)
-def simulate_each_spec_once(monkeypatch):
-    """Run each simulation-backend spec through the engine once per module.
+class SimulationMemo:
+    """``run_scenario`` that runs each simulation-backend spec once.
 
     Every farm here streams from seed 0, whose first cell alone sends
     about 1.6 M messages; re-simulating it in each test made this module
@@ -39,23 +36,55 @@ def simulate_each_spec_once(monkeypatch):
     a re-run would return.  It sits below the farm's own
     :class:`~repro.runner.cache.ResultCache`, so cache hits, cell counts,
     find/shrink and corpus contents are unchanged.  Other backends still
-    run every time.
+    run every time, and so does every spec inside :meth:`fresh`.
     """
+
+    def __init__(self, results, real_run):
+        self._results = results
+        self._real_run = real_run
+        self._bypass = False
+
+    def run(self, spec):
+        if self._bypass or spec.backend != "simulation":
+            return self._real_run(spec)
+        result = self._results.get(spec)
+        if result is None:
+            result = self._results[spec] = self._real_run(spec)
+        return result
+
+    @contextlib.contextmanager
+    def fresh(self):
+        """Re-simulate every spec inside the block, bypassing the memo.
+
+        Tests that compare two farm runs run the second one fresh, so a
+        run-to-run divergence inside one process (state leaking between
+        runs, identity-dependent ordering) still fails them.
+        """
+        self._bypass = True
+        try:
+            yield
+        finally:
+            self._bypass = False
+
+
+@pytest.fixture(scope="module")
+def simulated_results():
+    """Simulation results shared by this module's tests, keyed by spec."""
+    results = {}
+    yield results
+    results.clear()
+
+
+@pytest.fixture(autouse=True)
+def simulation_memo(monkeypatch, simulated_results):
+    """Route every ``run_scenario`` the farm reaches through the memo."""
     from repro.fuzz import corpus, farm, shrink
     from repro.runner import parallel
 
-    real_run = parallel.run_scenario
-
-    def run_scenario(spec):
-        if spec.backend != "simulation":
-            return real_run(spec)
-        result = _SIMULATED.get(spec)
-        if result is None:
-            result = _SIMULATED[spec] = real_run(spec)
-        return result
-
+    memo = SimulationMemo(simulated_results, parallel.run_scenario)
     for module in (parallel, farm, shrink, corpus):
-        monkeypatch.setattr(module, "run_scenario", run_scenario)
+        monkeypatch.setattr(module, "run_scenario", memo.run)
+    return memo
 
 
 def forge_delivery_when_lossy(result):
@@ -175,16 +204,19 @@ class TestFarm:
             assert record.regression_stub is not None
             assert "def test_regression_" in record.regression_stub
 
-    def test_same_seed_runs_are_identical(self, tmp_path):
+    def test_same_seed_runs_are_identical(self, tmp_path, simulation_memo):
         """Find + shrink are deterministic: two same-seed farms write
         byte-identical corpora (and therefore equal manifest hashes)."""
-        reports = []
-        for run in ("a", "b"):
+
+        def run(name):
             farm = FuzzFarm(
-                tmp_path / run, check=forge_delivery_when_lossy, seed=0
+                tmp_path / name, check=forge_delivery_when_lossy, seed=0
             )
-            reports.append(farm.run(max_cells=BUDGET))
-        first, second = reports
+            return farm.run(max_cells=BUDGET)
+
+        first = run("a")
+        with simulation_memo.fresh():
+            second = run("b")
         assert first.new_records == second.new_records
         assert first.manifest_hash == second.manifest_hash
         corpus_a, corpus_b = Corpus(tmp_path / "a"), Corpus(tmp_path / "b")
@@ -194,15 +226,16 @@ class TestFarm:
                 scenario_hash
             ).read_text()
 
-    def test_rediscovery_is_deduplicated(self, tmp_path):
+    def test_rediscovery_is_deduplicated(self, tmp_path, simulation_memo):
         corpus_dir = tmp_path / "corpus"
         first = FuzzFarm(
             corpus_dir, check=forge_delivery_when_lossy, seed=0
         ).run(max_cells=BUDGET)
         assert first.new_records.get("oracle_violation")
-        second = FuzzFarm(
-            corpus_dir, check=forge_delivery_when_lossy, seed=0
-        ).run(max_cells=BUDGET)
+        with simulation_memo.fresh():
+            second = FuzzFarm(
+                corpus_dir, check=forge_delivery_when_lossy, seed=0
+            ).run(max_cells=BUDGET)
         assert second.new_records.get("oracle_violation", []) == []
         assert second.duplicate_violations == len(
             first.new_records["oracle_violation"]
@@ -229,7 +262,9 @@ class TestFarm:
             assert record.stats["byzantine"] >= record.spec.f
         assert corpus.validate() == {}
 
-    def test_batched_executor_path_matches_streaming(self, tmp_path):
+    def test_batched_executor_path_matches_streaming(
+        self, tmp_path, simulation_memo
+    ):
         class BatchOnlyExecutor:
             """A ``run(cells)``-only executor (the distributed shape)."""
 
@@ -245,13 +280,14 @@ class TestFarm:
         streamed = FuzzFarm(
             tmp_path / "a", check=forge_delivery_when_lossy, seed=0
         ).run(max_cells=BUDGET)
-        batched = FuzzFarm(
-            tmp_path / "b",
-            executor=BatchOnlyExecutor(),
-            check=forge_delivery_when_lossy,
-            seed=0,
-            batch_size=3,
-        ).run(max_cells=BUDGET)
+        with simulation_memo.fresh():
+            batched = FuzzFarm(
+                tmp_path / "b",
+                executor=BatchOnlyExecutor(),
+                check=forge_delivery_when_lossy,
+                seed=0,
+                batch_size=3,
+            ).run(max_cells=BUDGET)
         assert batched.cells_run == BUDGET
         assert batched.new_records == streamed.new_records
         assert batched.manifest_hash == streamed.manifest_hash
