@@ -7,9 +7,16 @@ MBD.7, 8, 9, 11, as a function of the network connectivity k.
 
 
 from repro.core.modifications import ModificationSet
-from repro.runner.experiment import ExperimentConfig, run_repeated
 
-from benchmarks.common import current_scale, emit, emit_header, k_grid_for, save_record
+from benchmarks.common import (
+    connectivity_series,
+    current_scale,
+    emit,
+    emit_header,
+    format_latency,
+    k_grid_for,
+    save_record,
+)
 
 SCALE = current_scale()
 
@@ -27,24 +34,7 @@ def test_fig4_latency_and_bandwidth_vs_connectivity(benchmark):
     ks = k_grid_for(n, f, SCALE.fig4_ks)
 
     def study():
-        series = {}
-        for name, mods in CONFIGURATIONS.items():
-            points = []
-            for k in ks:
-                config = ExperimentConfig(
-                    n=n, k=k, f=f, payload_size=1024, modifications=mods, seed=17
-                )
-                results = run_repeated(config, runs=SCALE.runs)
-                latencies = [r.latency_ms for r in results if r.latency_ms is not None]
-                points.append(
-                    {
-                        "k": k,
-                        "latency_ms": sum(latencies) / len(latencies) if latencies else None,
-                        "kilobytes": sum(r.total_kilobytes for r in results) / len(results),
-                    }
-                )
-            series[name] = points
-        return series
+        return connectivity_series(CONFIGURATIONS, n, f, ks, seed=17, runs=SCALE.runs)
 
     series = benchmark.pedantic(study, rounds=1, iterations=1)
 
@@ -55,7 +45,7 @@ def test_fig4_latency_and_bandwidth_vs_connectivity(benchmark):
     for name, points in series.items():
         emit(
             f"{name:>20} | "
-            + " | ".join(f"{p['latency_ms']:>5.0f}" for p in points)
+            + " | ".join(format_latency(p["latency_ms"], 5) for p in points)
         )
     emit_header(f"Fig. 4b — network consumption (kB) vs connectivity, N={n}, f={f}")
     for name, points in series.items():

@@ -12,7 +12,7 @@ are fanned out together through the parallel sweep executor.
 from repro.core.modifications import ModificationSet
 from repro.metrics.report import relative_variation_percent
 from repro.runner.parallel import SweepExecutor
-from repro.scenarios import DelaySpec, ScenarioSpec, TopologySpec, seed_cells
+from repro.scenarios import seed_cells
 
 from benchmarks.common import (
     current_scale,
@@ -20,6 +20,7 @@ from benchmarks.common import (
     emit_header,
     k_grid_for,
     mean_or_none,
+    paper_cell,
     save_record,
     sweep_workers,
 )
@@ -33,15 +34,8 @@ CONFIGURATIONS = {
 
 
 def _cells(n, k, f, mods, seed=31):
-    base = ScenarioSpec(
-        name=f"fig6-n{n}-k{k}",
-        topology=TopologySpec(kind="random_regular", n=n, k=k, min_connectivity=min(k, 2 * f + 1)),
-        delay=DelaySpec(kind="fixed", mean_ms=50.0),
-        modifications=mods,
-        f=f,
-        payload_size=1024,
-        seed=seed,
-        shared_bandwidth_bps=1e9,
+    base = paper_cell(
+        n, k, f, payload_size=1024, modifications=mods, seed=seed, name=f"fig6-n{n}-k{k}"
     )
     return seed_cells(base, SCALE.runs)
 

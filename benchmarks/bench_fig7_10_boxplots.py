@@ -11,10 +11,17 @@ import pytest
 
 from repro.core.modifications import ModificationSet
 from repro.metrics.report import boxplot_stats
-from repro.runner.experiment import ExperimentConfig
-from repro.runner.sweep import paired_variations
 
-from benchmarks.common import current_scale, emit, emit_header, save_record
+from benchmarks.common import (
+    ASYNC_DELAY,
+    SYNC_DELAY,
+    current_scale,
+    emit,
+    emit_header,
+    paired_variations,
+    paper_cell,
+    save_record,
+)
 
 SCALE = current_scale()
 
@@ -27,12 +34,10 @@ def _collect(synchronous: bool):
             if index == 1
             else ModificationSet.bdopt_with_mbd1()
         )
-        reference = ExperimentConfig(
-            n=SCALE.modification_grid[0][0],
-            k=SCALE.modification_grid[0][1],
-            f=SCALE.modification_grid[0][2],
+        reference = paper_cell(
+            *SCALE.modification_grid[0],
             payload_size=1024,
-            synchronous=synchronous,
+            delay=SYNC_DELAY if synchronous else ASYNC_DELAY,
             modifications=reference_mods,
             seed=41,
         )

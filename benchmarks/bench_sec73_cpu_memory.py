@@ -13,9 +13,9 @@ import tracemalloc
 
 
 from repro.core.modifications import ModificationSet
-from repro.runner.experiment import ExperimentConfig, run_experiment
+from repro.scenarios.engine import simulate_scenario
 
-from benchmarks.common import current_scale, emit, emit_header, save_record
+from benchmarks.common import current_scale, emit, emit_header, paper_cell, save_record
 
 SCALE = current_scale()
 
@@ -28,12 +28,13 @@ def test_sec73_state_and_memory_growth(benchmark):
             k = max(2 * f + 1, n // 3)
             if (n * k) % 2:
                 k += 1
-            config = ExperimentConfig(
-                n=n, k=k, f=f, payload_size=16,
-                modifications=ModificationSet.dolev_optimized(), seed=51,
+            cell = paper_cell(
+                n, k, f, modifications=ModificationSet.dolev_optimized(), seed=51
             )
+            # Inline, not through the sweep executor: tracemalloc must
+            # see the run.
             tracemalloc.start()
-            result = run_experiment(config)
+            result = simulate_scenario(cell)
             _, python_peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             rows.append(
@@ -41,7 +42,7 @@ def test_sec73_state_and_memory_growth(benchmark):
                     "n": n,
                     "k": k,
                     "f": f,
-                    "peak_state_entries": result.peak_state_size,
+                    "peak_state_entries": result.metrics.peak_state_size,
                     "total_state_entries": result.metrics.total_state_size,
                     "python_peak_bytes": python_peak,
                     "messages": result.message_count,

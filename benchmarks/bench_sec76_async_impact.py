@@ -10,22 +10,28 @@ from about -24% to -18%).
 
 from repro.core.modifications import ModificationSet
 from repro.metrics.report import median
-from repro.runner.experiment import ExperimentConfig
-from repro.runner.sweep import paired_variations
 
-from benchmarks.common import current_scale, emit, emit_header, format_range, save_record
+from benchmarks.common import (
+    ASYNC_DELAY,
+    SYNC_DELAY,
+    current_scale,
+    emit,
+    emit_header,
+    format_range,
+    paired_variations,
+    paper_cell,
+    save_record,
+)
 
 SCALE = current_scale()
 STUDIED = (7, 8, 9, 11)  # the most impactful modifications for bandwidth
 
 
 def _variations(index: int, synchronous: bool):
-    reference = ExperimentConfig(
-        n=SCALE.modification_grid[0][0],
-        k=SCALE.modification_grid[0][1],
-        f=SCALE.modification_grid[0][2],
+    reference = paper_cell(
+        *SCALE.modification_grid[0],
         payload_size=1024,
-        synchronous=synchronous,
+        delay=SYNC_DELAY if synchronous else ASYNC_DELAY,
         modifications=ModificationSet.bdopt_with_mbd1(),
         seed=61,
     )

@@ -9,10 +9,16 @@ against BDopt; MBD.2–12 are compared against BDopt + MBD.1.
 import pytest
 
 from repro.core.modifications import ModificationSet
-from repro.runner.experiment import ExperimentConfig
-from repro.runner.sweep import paired_variations
 
-from benchmarks.common import current_scale, emit, emit_header, format_range, save_record
+from benchmarks.common import (
+    current_scale,
+    emit,
+    emit_header,
+    format_range,
+    paired_variations,
+    paper_cell,
+    save_record,
+)
 
 SCALE = current_scale()
 PAYLOAD_SIZES = (16, 1024)
@@ -26,13 +32,10 @@ def _reference_for(index: int) -> ModificationSet:
     )
 
 
-def _run_modification_study(index: int, payload_size: int, synchronous: bool = True):
-    reference = ExperimentConfig(
-        n=SCALE.modification_grid[0][0],
-        k=SCALE.modification_grid[0][1],
-        f=SCALE.modification_grid[0][2],
+def _run_modification_study(index: int, payload_size: int):
+    reference = paper_cell(
+        *SCALE.modification_grid[0],
         payload_size=payload_size,
-        synchronous=synchronous,
         modifications=_reference_for(index),
     )
     return paired_variations(

@@ -13,20 +13,14 @@
   contribution: the cross-layer combination supporting the MBD.1–12
   modifications.
 
-Two extension substrates are also provided (related / future work the
-paper points at):
-
-* :class:`~repro.brb.dolev_routed.RoutedDolevBroadcast` — Dolev's
-  known-topology variant using precomputed vertex-disjoint routes.
-* :class:`~repro.brb.cpa.CPABroadcast` and
-  :class:`~repro.brb.cpa.BrachaCPABroadcast` — the Certified Propagation
-  Algorithm under the local fault model, alone and under Bracha.
+A :class:`~repro.scenarios.ScenarioSpec` names one of them in its
+``protocol`` field (``"bracha"``, ``"dolev"``, ``"bracha_dolev"`` or
+``"cross_layer"``), and :func:`repro.runner.configs.protocol_factory`
+builds it on every process.
 """
 
 from repro.brb.bracha import BrachaBroadcast
 from repro.brb.dolev import DolevBroadcast, OptimizedDolevBroadcast
-from repro.brb.dolev_routed import RoutedDolevBroadcast
-from repro.brb.cpa import BrachaCPABroadcast, CPABroadcast
 from repro.brb.bracha_dolev import BrachaDolevBroadcast
 from repro.brb.optimized import CrossLayerBrachaDolev
 
@@ -34,9 +28,6 @@ __all__ = [
     "BrachaBroadcast",
     "DolevBroadcast",
     "OptimizedDolevBroadcast",
-    "RoutedDolevBroadcast",
-    "CPABroadcast",
-    "BrachaCPABroadcast",
     "BrachaDolevBroadcast",
     "CrossLayerBrachaDolev",
 ]

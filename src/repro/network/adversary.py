@@ -480,9 +480,9 @@ class EquivocatingSource(ByzantineBehavior):
 
 
 #: Behaviour names accepted by :func:`build_behaviour` (and therefore by
-#: the experiment runner and the scenario engine).  Append-only: the
-#: names are scenario-grid values, so reordering would change sampled
-#: fuzz streams for existing seeds.
+#: the scenario engine).  Append-only: the names are scenario-grid
+#: values, so reordering would change sampled fuzz streams for existing
+#: seeds.
 BEHAVIOUR_NAMES: Tuple[str, ...] = (
     "mute",
     "drop",
@@ -511,9 +511,9 @@ def build_behaviour(
 
     ``inner_factory`` is a zero-argument callable returning a *correct*
     protocol instance for the process; it is only invoked for behaviours
-    that wrap a correct protocol (every relay variant).  This is the
-    single construction path shared by the experiment runner and the
-    scenario engine, so a behaviour name means the same thing everywhere.
+    that wrap a correct protocol (every relay variant).  The scenario
+    engine builds every static and adaptive adversary through it, so a
+    behaviour name means the same thing everywhere.
     """
     if behaviour == "mute":
         return MuteProcess(process_id, neighbors)

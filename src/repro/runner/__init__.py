@@ -1,10 +1,16 @@
-"""Experiment runner used by the benchmarks and the examples.
+"""Sweep executors, result cache and protocol configurations.
 
-:func:`~repro.runner.experiment.run_experiment` builds a topology,
-instantiates one protocol per process (optionally replacing up to ``f`` of
-them with Byzantine behaviours), broadcasts a payload from a source and
-returns the latency / network-consumption metrics of the run —
-reproducing the measurement loop of Sec. 7.1.
+Scenarios themselves run in :mod:`repro.scenarios.engine`; this package
+fans many :class:`~repro.scenarios.ScenarioSpec` cells out over it:
+
+* :class:`~repro.runner.parallel.SweepExecutor` / :func:`run_sweep` —
+  serial or process-pool execution, results in cell order;
+* :class:`~repro.runner.distributed.DistributedSweepExecutor` — the same
+  over TCP-connected worker processes;
+* :class:`~repro.runner.cache.ResultCache` — per-cell results keyed by
+  scenario hash;
+* :mod:`repro.runner.configs` — the paper's named protocol
+  configurations and the protocol-family builders.
 """
 
 from repro.runner.cache import CACHE_VERSION, ResultCache, partition_cached
@@ -21,22 +27,9 @@ from repro.runner.distributed import (
     run_worker,
     worker_main,
 )
-from repro.runner.experiment import (
-    ExperimentConfig,
-    ExperimentResult,
-    run_experiment,
-    run_repeated,
-)
 from repro.runner.parallel import StreamedResult, SweepExecutor, run_sweep
-from repro.runner.sweep import SweepPoint, sweep
 
 __all__ = [
-    "ExperimentConfig",
-    "ExperimentResult",
-    "run_experiment",
-    "run_repeated",
-    "SweepPoint",
-    "sweep",
     "SweepExecutor",
     "StreamedResult",
     "run_sweep",

@@ -14,8 +14,7 @@ The paper compares a number of configurations of the same protocol:
 * ``all`` — every modification enabled.
 
 :func:`protocol_factory` maps a configuration name to a callable building
-one protocol instance per process, which the experiment runner and the
-benchmarks use.
+one protocol instance per process, which the scenario engine uses.
 """
 
 from __future__ import annotations

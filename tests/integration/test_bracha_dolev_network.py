@@ -1,11 +1,15 @@
 """Integration tests: the layered Bracha-Dolev combination (BD and BDopt)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.modifications import ModificationSet
 from repro.brb.bracha_dolev import BrachaDolevBroadcast
 from repro.network.adversary import EquivocatingSource, MuteProcess
+from repro.scenarios import DelaySpec, ScenarioSpec, TopologySpec
+from repro.scenarios.engine import simulate_scenario
 from repro.topology.generators import harary_topology, random_regular_topology
 
 from tests.conftest import run_broadcast
@@ -92,3 +96,44 @@ class TestLayeredCombination:
         delivered = metrics.deliveries_for((5, 0))
         assert set(delivered) == set(range(7))
         assert set(delivered.values()) == {b"from-five"}
+
+
+# (topology, f, payload size, seed) cells on which the cross-layer stack
+# with BDopt and no MBD modification must send exactly what the layered
+# reference sends.
+DIFFERENTIAL_CELLS = [
+    (TopologySpec(kind="random_regular", n=8, k=5, min_connectivity=3), 1, 16, 0),
+    (TopologySpec(kind="random_regular", n=10, k=5, min_connectivity=5), 2, 1024, 71),
+    (TopologySpec(kind="random_regular", n=12, k=5, min_connectivity=5), 2, 16, 4),
+    (TopologySpec(kind="random_regular", n=14, k=9, min_connectivity=7), 3, 16, 6),
+    (TopologySpec(kind="random_regular", n=20, k=8, min_connectivity=7), 3, 16, 17),
+    (TopologySpec(kind="harary", n=10, k=5), 2, 16, 1),
+    (TopologySpec(kind="complete", n=10), 3, 16, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "topology, f, payload_size, seed",
+    DIFFERENTIAL_CELLS,
+    ids=[f"{t.kind}-n{t.n}-f{f}-s{seed}" for t, f, _, seed in DIFFERENTIAL_CELLS],
+)
+def test_cross_layer_bdopt_matches_layered_reference(topology, f, payload_size, seed):
+    # Fixed delays: under normal/uniform delays the two stacks draw link
+    # delays in different send orders, so their counts legitimately differ.
+    spec = ScenarioSpec(
+        topology=topology,
+        delay=DelaySpec(kind="fixed", mean_ms=50.0),
+        protocol="bracha_dolev",
+        modifications=ModificationSet.dolev_optimized(),
+        f=f,
+        payload_size=payload_size,
+        seed=seed,
+        shared_bandwidth_bps=1e9,
+    )
+    reference = simulate_scenario(spec)
+    candidate = simulate_scenario(replace(spec, protocol="cross_layer"))
+    assert reference.all_correct_delivered
+    assert candidate.message_count == reference.message_count
+    assert candidate.total_bytes == reference.total_bytes
+    assert candidate.latency_ms == reference.latency_ms
+    assert candidate.delivered_processes == reference.delivered_processes
